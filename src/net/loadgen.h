@@ -46,6 +46,7 @@ class RequestSink {
     bool served = false;  // false: admitted but failed downstream
     SimTime issued_at = 0;
     SimTime completed_at = 0;
+    std::string body;  // a dynamic atom's response (empty otherwise)
   };
   using DoneFn = std::function<void(const Completion&)>;
 

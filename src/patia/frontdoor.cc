@@ -152,7 +152,7 @@ Status FrontDoor::Submit(uint64_t session, const std::string& client,
 
 void FrontDoor::OnRequestDone(uint64_t session, const RequestTiming& timing,
                               DoneFn done, bool served,
-                              SimTime completed_at) {
+                              SimTime completed_at, std::string body) {
   --outstanding_;
   auto it = inflight_.find(session);
   if (it != inflight_.end() && --it->second == 0) inflight_.erase(it);
@@ -185,6 +185,7 @@ void FrontDoor::OnRequestDone(uint64_t session, const RequestTiming& timing,
     c.served = served;
     c.issued_at = timing.enqueued_at;
     c.completed_at = completed_at;
+    c.body = std::move(body);
     done(c);
   }
 }
@@ -261,9 +262,9 @@ void FrontDoor::DispatchBatch(SimTime now) {
     DoneFn done = std::move(p.done);
     Status s = server_->Request(
         p.client, p.resource,
-        [this, session, timing, done](const ServedRequest& served) {
+        [this, session, timing, done](ServedRequest&& served) {
           OnRequestDone(session, timing, done, /*served=*/true,
-                        served.completed_at);
+                        served.completed_at, std::move(served.body));
         });
     if (!s.ok()) {
       OnRequestDone(session, timing, std::move(done),

@@ -168,7 +168,8 @@ class FrontDoor : public net::RequestSink {
   /// Returns the invocation's cycle cost (0 when the ORB is absent).
   uint64_t InvokeBatchService();
   void OnRequestDone(uint64_t session, const RequestTiming& timing,
-                     DoneFn done, bool served, SimTime completed_at);
+                     DoneFn done, bool served, SimTime completed_at,
+                     std::string body = {});
   void SetShedLevel(int level, SimTime at);
   void PublishGauges(SimTime now);
   void ScheduleTick();

@@ -269,7 +269,7 @@ Result<std::string> PatiaServer::ChooseVariant(const Atom& atom,
 
 Status PatiaServer::Request(
     const std::string& client, const std::string& atom_name,
-    std::function<void(const ServedRequest&)> on_done) {
+    std::function<void(ServedRequest&&)> on_done) {
   DBM_ASSIGN_OR_RETURN(const Atom* atom, GetAtom(atom_name));
   DBM_RETURN_NOT_OK(network_->GetDevice(client).status());
   DBM_ASSIGN_OR_RETURN(std::string node, ChooseNode(*atom, client));
@@ -344,7 +344,7 @@ Status PatiaServer::Request(
             if (on_done) {
               // The body rides only on the callback's copy, never the log.
               if (body != nullptr) served.body = std::move(*body);
-              on_done(served);
+              on_done(std::move(served));
             }
           });
       if (!s.ok()) {

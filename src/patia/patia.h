@@ -57,8 +57,8 @@ struct ServedRequest {
   SimTime issued_at = 0;
   SimTime completed_at = 0;
   /// Dynamic-atom response body (observatory endpoints). Filled only on
-  /// the copy handed to the request's on_done callback — never retained
-  /// in the served-request log.
+  /// the copy handed to the request's on_done callback (which may move it
+  /// out) — never retained in the served-request log.
   std::string body;
   SimTime Latency() const { return completed_at - issued_at; }
 };
@@ -193,9 +193,10 @@ class PatiaServer {
   Status AddConstraint(int constraint_id, int atom_id,
                        std::string_view rule_text, int priority = 0);
 
-  /// Issues a client request for an atom; `on_done` fires at completion.
+  /// Issues a client request for an atom; `on_done` fires at completion
+  /// and owns the request it is handed (a dynamic body may be moved out).
   Status Request(const std::string& client, const std::string& atom_name,
-                 std::function<void(const ServedRequest&)> on_done = nullptr);
+                 std::function<void(ServedRequest&&)> on_done = nullptr);
 
   /// One adaptation tick: sample monitors through gauges, evaluate the
   /// constraint table, enact SWITCHes. Call periodically from the loop.

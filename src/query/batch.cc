@@ -292,55 +292,83 @@ void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
   out->cols = cols;
 }
 
-Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
-                      size_t page_end, Arena* scratch, ColumnBatch* out,
-                      uint64_t* raw_rows) {
-  size_t ncols = rel.schema().size();
-  struct ColBuild {
+namespace {
+
+/// DecodeRecord's column sink: appends each decoded value straight onto
+/// its column's arena arrays. Every typed array stays row-aligned — a row
+/// pushes its live value into its tag's array and zero placeholders into
+/// the others. String payloads are copied into the scratch arena, since
+/// the page they were decoded from is unpinned after the visit.
+struct ColumnSink {
+  struct Col {
     ArenaVec<uint8_t> tags;
     ArenaVec<int64_t> ints;
     ArenaVec<double> doubles;
     ArenaVec<std::string_view> strings;
   };
-  ColBuild* build = scratch->AllocateArray<ColBuild>(ncols);
+  Col* cols;
+  Arena* scratch;
+
+  void Push(size_t c, ValueType t, int64_t i, double d,
+            std::string_view s) {
+    cols[c].tags.PushBack(static_cast<uint8_t>(t));
+    cols[c].ints.PushBack(i);
+    cols[c].doubles.PushBack(d);
+    cols[c].strings.PushBack(s);
+  }
+  void Null(size_t c) { Push(c, ValueType::kNull, 0, 0.0, {}); }
+  void Int(size_t c, int64_t v) { Push(c, ValueType::kInt, v, 0.0, {}); }
+  void Double(size_t c, double v) {
+    Push(c, ValueType::kDouble, 0, v, {});
+  }
+  void String(size_t c, std::string_view v) {
+    Push(c, ValueType::kString, 0, 0.0, scratch->CopyString(v));
+  }
+};
+
+}  // namespace
+
+Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
+                      size_t page_end, Arena* scratch, ColumnBatch* out,
+                      uint64_t* raw_rows) {
+  const size_t ncols = rel.schema().size();
+  // Size the columns for the morsel's expected rows up front (the mean
+  // page's record count, plus slack) rather than doubling into them: the
+  // scratch a morsel needs stays near-constant, so warm-up sizes the
+  // arena for every later morsel.
+  const size_t expect =
+      rel.pages() == 0 ? 0
+                       : (rel.rows() * (page_end - page_begin) * 9 / 8) /
+                                 rel.pages() +
+                             1;
+  ColumnSink sink{scratch->AllocateArray<ColumnSink::Col>(ncols), scratch};
   for (size_t c = 0; c < ncols; ++c) {
-    build[c].tags.Init(scratch);
-    build[c].ints.Init(scratch);
-    build[c].doubles.Init(scratch);
-    build[c].strings.Init(scratch);
+    sink.cols[c].tags.Init(scratch);
+    sink.cols[c].ints.Init(scratch);
+    sink.cols[c].doubles.Init(scratch);
+    sink.cols[c].strings.Init(scratch);
+    sink.cols[c].tags.Reserve(expect);
+    sink.cols[c].ints.Reserve(expect);
+    sink.cols[c].doubles.Reserve(expect);
+    sink.cols[c].strings.Reserve(expect);
   }
   size_t rows = 0;
-  for (size_t page = page_begin; page < page_end; ++page) {
-    for (uint16_t slot = 0;; ++slot) {
-      DBM_ASSIGN_OR_RETURN(std::optional<data::Tuple> tuple,
-                           rel.ReadAt(page, slot));
-      if (!tuple.has_value()) break;
-      for (size_t c = 0; c < ncols; ++c) {
-        // Every typed array stays row-aligned: a row pushes a live value
-        // into its tag's array and zero placeholders into the others.
-        const Value& val = tuple->at(c);
-        ValueType t = data::TypeOf(val);
-        build[c].tags.PushBack(static_cast<uint8_t>(t));
-        build[c].ints.PushBack(t == ValueType::kInt ? std::get<int64_t>(val)
-                                                    : 0);
-        build[c].doubles.PushBack(
-            t == ValueType::kDouble ? std::get<double>(val) : 0.0);
-        // Decoded tuples die with this morsel; string payloads move to
-        // the scratch arena so the batch can keep referring to them.
-        build[c].strings.PushBack(
-            t == ValueType::kString
-                ? scratch->CopyString(std::get<std::string>(val))
-                : std::string_view());
-      }
-      ++rows;
-    }
+  Status decoded;
+  for (size_t page = page_begin; page < page_end && decoded.ok(); ++page) {
+    DBM_RETURN_NOT_OK(rel.VisitPage(
+        page, [&](uint16_t, const uint8_t* bytes, size_t size) {
+          decoded = storage::DecodeRecord(bytes, size, ncols, sink);
+          rows += decoded.ok() ? 1 : 0;
+          return decoded.ok();
+        }));
   }
+  DBM_RETURN_NOT_OK(decoded);
   Column* cols = scratch->AllocateArray<Column>(ncols);
   for (size_t c = 0; c < ncols; ++c) {
-    cols[c].tags = build[c].tags.data();
-    cols[c].ints = build[c].ints.data();
-    cols[c].doubles = build[c].doubles.data();
-    cols[c].strings = build[c].strings.data();
+    cols[c].tags = sink.cols[c].tags.data();
+    cols[c].ints = sink.cols[c].ints.data();
+    cols[c].doubles = sink.cols[c].doubles.data();
+    cols[c].strings = sink.cols[c].strings.data();
   }
   out->rows = rows;
   out->ncols = ncols;

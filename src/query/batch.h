@@ -10,7 +10,8 @@
 //   ColumnBatch   ~1024 rows of a morsel as typed contiguous columns
 //                 (int64 / double / string-ref) plus per-row type tags,
 //                 borrowed zero-copy from Relation::Columnar() for mem
-//                 scans, decoded into arena scratch for paged scans.
+//                 scans, decoded in place into arena scratch for paged
+//                 scans.
 //   selection     filters produce a selection vector (indices of passing
 //                 rows) instead of moving any data.
 //   kernels       EvalBatch / TestBatch / FilterBatch run an Expr over a
@@ -22,7 +23,8 @@
 // Everything transient lives in per-worker slab arenas (common/arena.h):
 // scratch resets every morsel, state every query, both retain their
 // chunks — so the steady-state morsel body performs zero operator-new
-// calls (asserted by bench_vectorized via the counting-allocator hook).
+// calls on mem and paged scans alike (asserted by bench_vectorized and
+// tests/batch_test.cc via the counting-allocator hook).
 //
 // Semantics are pinned to the row engine cell-for-cell: CompareValues /
 // HashValue equivalences (ints hash through their double image, null
@@ -192,10 +194,11 @@ void HashColumn(const BatchView& v, size_t col, const uint32_t* sel,
 void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
                   Arena* scratch, ColumnBatch* out);
 
-/// Loads a paged-scan morsel (pages [page_begin, page_end)) by decoding
-/// records into `scratch` columns. Decoding materialises tuples, so this
-/// path allocates (documented in PERFORMANCE.md); the zero-alloc
-/// guarantee is for mem scans. `raw_rows` counts decoded rows.
+/// Loads a paged-scan morsel (pages [page_begin, page_end)) page-at-a-time:
+/// each page is pinned once and its records decode in place straight
+/// into `scratch` columns (strings copied into the arena), with no
+/// intermediate Tuple — so a warm paged morsel allocates nothing, like a
+/// mem one. `raw_rows` counts decoded rows.
 Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
                       size_t page_end, Arena* scratch, ColumnBatch* out,
                       uint64_t* raw_rows);

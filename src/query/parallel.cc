@@ -100,25 +100,38 @@ size_t ScanUnits(const ParallelScan& scan, const ParallelOptions& options,
 }
 
 /// Feeds every tuple of `morsel` (post scan-filter) to `fn`. `raw`, when
-/// non-null, counts rows read before the scan filter (profiling).
+/// non-null, counts rows read before the scan filter (profiling). Paged
+/// morsels run page-at-a-time: each page is pinned once and its records
+/// are decoded in place while `fn` runs.
 template <typename Fn>
 Status ScanMorsel(const ParallelScan& scan, const Morsel& morsel, Fn&& fn,
                   uint64_t* raw = nullptr) {
   if (scan.paged != nullptr) {
-    for (size_t page = morsel.begin; page < morsel.end; ++page) {
-      for (uint16_t slot = 0;; ++slot) {
-        DBM_ASSIGN_OR_RETURN(std::optional<Tuple> tuple,
-                             scan.paged->ReadAt(page, slot));
-        if (!tuple.has_value()) break;
-        if (raw != nullptr) ++*raw;
-        if (scan.filter != nullptr) {
-          DBM_ASSIGN_OR_RETURN(bool pass, scan.filter->Test(*tuple));
-          if (!pass) continue;
-        }
-        DBM_RETURN_NOT_OK(fn(std::move(*tuple)));
-      }
+    const size_t arity = scan.paged->schema().size();
+    Status status;
+    for (size_t page = morsel.begin; page < morsel.end && status.ok();
+         ++page) {
+      DBM_RETURN_NOT_OK(scan.paged->VisitPage(
+          page, [&](uint16_t, const uint8_t* bytes, size_t size) {
+            Tuple tuple;
+            tuple.values.reserve(arity);
+            storage::TupleSink sink{&tuple};
+            status = storage::DecodeRecord(bytes, size, arity, sink);
+            if (!status.ok()) return false;
+            if (raw != nullptr) ++*raw;
+            if (scan.filter != nullptr) {
+              Result<bool> pass = scan.filter->Test(tuple);
+              if (!pass.ok()) {
+                status = pass.status();
+                return false;
+              }
+              if (!*pass) return true;
+            }
+            status = fn(std::move(tuple));
+            return status.ok();
+          }));
     }
-    return Status::OK();
+    return status;
   }
   const std::vector<Tuple>& rows = scan.mem->rows();
   if (raw != nullptr) *raw += morsel.end - morsel.begin;
@@ -756,8 +769,8 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   // the join fan-out; `pos_to_row` maps them back to scan rows and
   // `segs[k][pos]` to the stage-k build row's cells. Everything transient
   // comes from the worker's scratch arena (reset here, chunks retained),
-  // so the steady-state body performs zero operator-new calls on mem
-  // scans — measured per-thread into sink.steady_allocs.
+  // so the steady-state body performs zero operator-new calls on mem and
+  // paged scans — measured per-thread into sink.steady_allocs.
   auto process_batch = [&](size_t wid, const Morsel& morsel) -> Status {
     WorkerSink& sink = sinks[wid];
     Arena& scratch = pool.ScratchArena(wid);

@@ -157,7 +157,7 @@ struct ParallelStats {
   uint64_t batches = 0;       // column batches processed (batch engine)
   /// Operator-new calls inside worker morsel bodies during the probe
   /// phase (batch engine; thread-local alloc-hook deltas). Zero in
-  /// steady state for mem-scan aggregation plans.
+  /// steady state for mem- and paged-scan aggregation plans.
   uint64_t steady_allocs = 0;
 };
 

@@ -47,56 +47,15 @@ std::vector<uint8_t> EncodeTuple(const Tuple& tuple) {
   return out;
 }
 
-Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t arity) {
+Status detail::UnknownTypeTag(uint8_t tag) {
+  return Status::IoError("unknown value type tag " + std::to_string(tag));
+}
+
+Result<Tuple> DecodeTuple(const uint8_t* bytes, size_t size, size_t arity) {
   Tuple tuple;
-  size_t pos = 0;
-  auto u32 = [&]() -> Result<uint32_t> {
-    if (pos + 4 > bytes.size()) return Status::IoError("truncated u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes[pos++]) << (8 * i);
-    return v;
-  };
-  auto u64 = [&]() -> Result<uint64_t> {
-    if (pos + 8 > bytes.size()) return Status::IoError("truncated u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[pos++]) << (8 * i);
-    return v;
-  };
-  for (size_t c = 0; c < arity; ++c) {
-    if (pos >= bytes.size()) return Status::IoError("truncated tuple");
-    auto type = static_cast<ValueType>(bytes[pos++]);
-    switch (type) {
-      case ValueType::kNull:
-        tuple.values.emplace_back();
-        break;
-      case ValueType::kInt: {
-        DBM_ASSIGN_OR_RETURN(uint64_t bits, u64());
-        tuple.values.emplace_back(static_cast<int64_t>(bits));
-        break;
-      }
-      case ValueType::kDouble: {
-        DBM_ASSIGN_OR_RETURN(uint64_t bits, u64());
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        tuple.values.emplace_back(d);
-        break;
-      }
-      case ValueType::kString: {
-        DBM_ASSIGN_OR_RETURN(uint32_t len, u32());
-        if (pos + len > bytes.size()) {
-          return Status::IoError("truncated string value");
-        }
-        tuple.values.emplace_back(
-            std::string(bytes.begin() + static_cast<long>(pos),
-                        bytes.begin() + static_cast<long>(pos + len)));
-        pos += len;
-        break;
-      }
-    }
-  }
-  if (pos != bytes.size()) {
-    return Status::IoError("trailing bytes after tuple");
-  }
+  tuple.values.reserve(arity);
+  TupleSink sink{&tuple};
+  DBM_RETURN_NOT_OK(DecodeRecord(bytes, size, arity, sink));
   return tuple;
 }
 
@@ -129,33 +88,45 @@ Status PagedRelation::Append(const Tuple& tuple) {
 
 Status PagedRelation::Scan(
     const std::function<bool(const Tuple&)>& visitor) const {
+  const size_t arity = schema_.size();
   Status decode_error;
-  DBM_RETURN_NOT_OK(file_->Scan(
-      [&](const RecordId&, const std::vector<uint8_t>& rec) {
-        auto tuple = DecodeTuple(rec, schema_.size());
-        if (!tuple.ok()) {
-          decode_error = tuple.status();
-          return false;
-        }
-        return visitor(*tuple);
-      }));
+  for (size_t page = 0; page < pages(); ++page) {
+    bool stop = false;
+    DBM_RETURN_NOT_OK(VisitPage(
+        page, [&](uint16_t, const uint8_t* bytes, size_t size) {
+          auto tuple = DecodeTuple(bytes, size, arity);
+          if (!tuple.ok()) decode_error = tuple.status();
+          stop = !tuple.ok() || !visitor(*tuple);
+          return !stop;
+        }));
+    if (stop) break;
+  }
   return decode_error;
+}
+
+Status PagedRelation::VisitPage(size_t page_ordinal,
+                                RecordFile::RecordVisitor visit) const {
+  if (page_ordinal >= file_->pages().size()) return Status::OK();
+  return file_->VisitPage(file_->pages()[page_ordinal], visit);
 }
 
 Result<std::optional<data::Tuple>> PagedRelation::ReadAt(
     size_t page_ordinal, uint16_t slot) const {
-  if (page_ordinal >= file_->pages().size()) {
-    return std::optional<data::Tuple>{};
-  }
-  RecordId id{file_->pages()[page_ordinal], slot};
-  auto rec = file_->Read(id);
-  if (!rec.ok()) {
-    if (rec.status().IsNotFound()) return std::optional<data::Tuple>{};
-    return rec.status();
-  }
-  DBM_ASSIGN_OR_RETURN(data::Tuple tuple,
-                       DecodeTuple(*rec, schema_.size()));
-  return std::optional<data::Tuple>(std::move(tuple));
+  std::optional<data::Tuple> out;
+  Status decoded;
+  DBM_RETURN_NOT_OK(VisitPage(
+      page_ordinal, [&](uint16_t s, const uint8_t* bytes, size_t size) {
+        if (s != slot) return true;
+        auto tuple = DecodeTuple(bytes, size, schema_.size());
+        if (tuple.ok()) {
+          out = std::move(*tuple);
+        } else {
+          decoded = tuple.status();
+        }
+        return false;
+      }));
+  DBM_RETURN_NOT_OK(decoded);
+  return out;
 }
 
 Result<data::Relation> PagedRelation::ToRelation() const {

@@ -3,6 +3,12 @@
 // Page layout: [u16 record_count][u16 free_offset][records...], each
 // record prefixed with a u16 length. Records never span pages; a record
 // larger than the page payload is rejected.
+//
+// Every read path — Read, Scan, VisitPage and Attach's validation — runs
+// on one record walker: it pins a page once, walks the length chain in
+// slot order over the frame's bytes, and unpins on every exit. Each
+// length is bounds-checked against the page's used bytes, so a corrupt
+// slot directory surfaces as DataLoss instead of a read past the frame.
 
 #ifndef DBM_STORAGE_RECORD_FILE_H_
 #define DBM_STORAGE_RECORD_FILE_H_
@@ -10,6 +16,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "storage/buffer.h"
 
@@ -42,7 +49,8 @@ class RecordFile {
   /// load-then-scan discipline).
   Status Attach();
 
-  /// Reads one record.
+  /// Reads one record (NotFound when the slot is past the page's record
+  /// count).
   Result<std::vector<uint8_t>> Read(const RecordId& id);
 
   /// Visits every record in file order. The visitor may return false to
@@ -50,6 +58,16 @@ class RecordFile {
   Status Scan(
       const std::function<bool(const RecordId&, const std::vector<uint8_t>&)>&
           visitor);
+
+  /// Receives one record in place: (slot, bytes, size). The bytes live in
+  /// the pinned frame and are valid only during the call. Returns false
+  /// to stop the walk.
+  using RecordVisitor = FunctionRef<bool(uint16_t, const uint8_t*, size_t)>;
+
+  /// Pins page `pid` once, hands its records to `visit` in slot order
+  /// and unpins, whatever the outcome. DataLoss when a record runs past
+  /// the page's used bytes.
+  Status VisitPage(PageId pid, RecordVisitor visit);
 
   size_t record_count() const { return record_count_; }
   const std::vector<PageId>& pages() const { return pages_; }

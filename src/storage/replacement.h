@@ -61,7 +61,11 @@ class LruPolicy : public ReplacementPolicy {
  private:
   void Touch(size_t frame) {
     auto it = where_.find(frame);
-    if (it != where_.end()) order_.erase(it->second);
+    if (it != where_.end()) {
+      // Relink the node at the MRU end: a hit allocates nothing.
+      order_.splice(order_.end(), order_, it->second);
+      return;
+    }
     order_.push_back(frame);
     where_[frame] = std::prev(order_.end());
   }

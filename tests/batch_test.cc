@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "data/value.h"
 #include "fault/injector.h"
+#include "obs/alloc_hook.h"
 #include "query/batch.h"
 #include "query/parallel.h"
 #include "storage/paged_relation.h"
@@ -572,6 +573,241 @@ TEST(BatchEngineTest, PagedProbeEquivalence) {
     }
   }
   EXPECT_TRUE(buffer->CheckInvariants().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Page-at-a-time paged scans
+// ---------------------------------------------------------------------------
+
+/// A paged copy of `src` in its own buffer pool.
+struct PagedRig {
+  std::shared_ptr<storage::DiskComponent> disk =
+      std::make_shared<storage::DiskComponent>();
+  std::shared_ptr<storage::LruPolicy> policy =
+      std::make_shared<storage::LruPolicy>();
+  std::shared_ptr<storage::BufferManager> buffer;
+  std::unique_ptr<storage::PagedRelation> rel;
+
+  PagedRig(const Relation& src, size_t frames, size_t shards) {
+    buffer = std::make_shared<storage::BufferManager>("buf", frames, shards);
+    buffer->FindPort("disk")->SetTarget(disk);
+    buffer->FindPort("policy")->SetTarget(policy);
+    auto loaded = storage::PagedRelation::Load(src, buffer.get(), disk.get());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (loaded.ok()) rel = std::move(*loaded);
+  }
+  uint64_t gets() const { return buffer->stats().gets; }
+};
+
+/// `paged` (the mem plan with its scans swapped for paged copies) must
+/// match the mem plan's serial reference at every dop on both engines,
+/// and so must the mem plan itself.
+void ExpectPagedMatchesMem(const ParallelPlan& mem, const ParallelPlan& paged,
+                           WorkerPool* pool, uint64_t seed) {
+  std::multiset<std::string> reference = Canon(SerialRows(mem));
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(Canon(SerialRows(paged)), reference) << "seed=" << seed;
+  for (size_t dop : {1u, 2u, 4u, 8u}) {
+    for (ParallelEngine engine :
+         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
+      for (const ParallelPlan* plan : {&mem, &paged}) {
+        ParallelOptions opt;
+        opt.dop = dop;
+        opt.pool = pool;
+        opt.engine = engine;
+        opt.morsel_pages = 3;
+        std::vector<Tuple> out;
+        auto stats = ExecuteParallel(*plan, &out, opt);
+        const char* what = plan == &mem ? "mem" : "paged";
+        ASSERT_TRUE(stats.ok()) << what << " seed=" << seed << " dop=" << dop
+                                << ": " << stats.status().ToString();
+        EXPECT_EQ(Canon(out), reference)
+            << what << " seed=" << seed << " dop=" << dop << " engine="
+            << (engine == ParallelEngine::kBatch ? "batch" : "row");
+      }
+    }
+  }
+}
+
+TEST(PagedScanTest, PagedMatchesMemAndSerialWhilePagesEvict) {
+  ScopedFaultSpec quiet("");
+  WorkerPool pool(8);
+  for (uint64_t seed : kSeeds) {
+    Relation probe = MakeMixed(3000, seed);
+    Relation build = MakeMixed(700, seed + 1);
+    // 16 frames in 2 shards: 8 per shard covers one pinned page per
+    // worker at dop 8. The build side's ~7 pages make at most 3 morsels,
+    // so its 4 frames cover its pins too. Both relations are larger than
+    // their pool.
+    PagedRig pprobe(probe, 16, 2);
+    PagedRig pbuild(build, 4, 1);
+    ASSERT_NE(pprobe.rel, nullptr);
+    ASSERT_NE(pbuild.rel, nullptr);
+    ASSERT_GT(pprobe.rel->pages(), 16u);
+    ASSERT_GT(pbuild.rel->pages(), 4u);
+
+    // Filtered scan returning every column: strings and nulls survive
+    // the decode.
+    ParallelPlan scan;
+    scan.probe.mem = &probe;
+    scan.probe.filter = Lt(Col(0), Lit(Value{int64_t{40}}));
+    ParallelPlan paged_scan = scan;
+    paged_scan.probe = {pprobe.rel.get(), nullptr, scan.probe.filter};
+    ExpectPagedMatchesMem(scan, paged_scan, &pool, seed);
+
+    // Group-by on the string column over a paged probe.
+    ParallelPlan agg;
+    agg.probe.mem = &probe;
+    agg.group_by = {2};
+    agg.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
+    ParallelPlan paged_agg = agg;
+    paged_agg.probe = {pprobe.rel.get(), nullptr, nullptr};
+    ExpectPagedMatchesMem(agg, paged_agg, &pool, seed);
+
+    // Join with a filtered paged build side (null keys on both sides).
+    ParallelPlan join;
+    join.probe.mem = &probe;
+    ParallelJoinStage stage;
+    stage.build.mem = &build;
+    stage.build.filter = Lt(Col(0), Lit(Value{int64_t{50}}));
+    stage.spec.left_col = 3;
+    stage.spec.right_col = 3;
+    join.joins.push_back(stage);
+    join.group_by = {2, 6};
+    join.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 5, "s"}};
+    ParallelPlan paged_join = join;
+    paged_join.probe = {pprobe.rel.get(), nullptr, nullptr};
+    paged_join.joins[0].build = {pbuild.rel.get(), nullptr,
+                                 stage.build.filter};
+    ExpectPagedMatchesMem(join, paged_join, &pool, seed);
+
+    EXPECT_GT(pprobe.buffer->stats().evictions, 0u);
+    EXPECT_GT(pbuild.buffer->stats().evictions, 0u);
+    EXPECT_TRUE(pprobe.buffer->CheckInvariants().ok());
+    EXPECT_TRUE(pbuild.buffer->CheckInvariants().ok());
+  }
+}
+
+TEST(PagedScanTest, FullScanMakesOneBufferGetPerPage) {
+  ScopedFaultSpec quiet("");
+  Relation rel = MakeMixed(5000, 42);
+  PagedRig paged(rel, 8, 2);
+  ASSERT_NE(paged.rel, nullptr);
+  ParallelPlan plan;
+  plan.probe.paged = paged.rel.get();
+  plan.group_by = {3};
+  plan.aggs = {{AggFunc::kCount, 0, "n"}};
+  WorkerPool pool(4);
+  for (size_t dop : {1u, 2u, 4u}) {
+    for (ParallelEngine engine :
+         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
+      ParallelOptions opt;
+      opt.dop = dop;
+      opt.pool = &pool;
+      opt.engine = engine;
+      std::vector<Tuple> out;
+      const uint64_t before = paged.gets();
+      auto stats = ExecuteParallel(plan, &out, opt);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(paged.gets() - before, paged.rel->pages())
+          << "dop=" << dop << " engine="
+          << (engine == ParallelEngine::kBatch ? "batch" : "row");
+    }
+  }
+}
+
+TEST(PagedScanTest, WarmPagedAggregationIsAllocationFree) {
+  ScopedFaultSpec quiet("");
+  obs::InstallCountingAllocator();
+  ASSERT_TRUE(obs::AllocCountingInstalled());
+  Relation rel = MakeMixed(20000, 17);
+  PagedRig paged(rel, 1024, 4);  // the whole relation stays resident
+  ASSERT_NE(paged.rel, nullptr);
+  ParallelPlan plan;
+  plan.probe.paged = paged.rel.get();
+  plan.probe.filter = Lt(Col(0), Lit(Value{int64_t{70}}));
+  plan.group_by = {3};
+  plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
+  WorkerPool pool(4);
+  auto run = [&](size_t dop) -> uint64_t {
+    ParallelOptions opt;
+    opt.dop = dop;
+    opt.pool = &pool;
+    std::vector<Tuple> out;
+    auto stats = ExecuteParallel(plan, &out, opt);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats.ok() ? stats->batches : 0, 0u);
+    return stats.ok() ? stats->steady_allocs : ~uint64_t{0};
+  };
+  // Warm-up sizes a worker's arenas the first time it draws a morsel;
+  // which worker draws which morsel is the scheduler's choice, so warm
+  // until every worker has run at least one morsel body (each resets its
+  // scratch arena once per morsel).
+  auto all_warm = [&] {
+    for (size_t w = 0; w < 4; ++w) {
+      if (pool.ScratchArena(w).resets() == 0) return false;
+    }
+    return true;
+  };
+  for (int i = 0; i < 100 && !all_warm(); ++i) run(4);
+  ASSERT_TRUE(all_warm());
+  for (size_t dop : {2u, 4u}) {
+    EXPECT_EQ(run(dop), 0u) << "dop=" << dop;
+  }
+  EXPECT_EQ(paged.buffer->stats().evictions, 0u);
+}
+
+TEST(PagedScanTest, CorruptPageFailsEveryEngineAndReleasesPins) {
+  ScopedFaultSpec quiet("");
+  Relation rel = MakeMixed(2000, 23);
+  PagedRig paged(rel, 8, 2);
+  ASSERT_NE(paged.rel, nullptr);
+  ASSERT_GT(paged.rel->pages(), 6u);
+  // Page 5's first record length now chains past the page.
+  {
+    auto page = paged.buffer->GetPage(5);
+    ASSERT_TRUE(page.ok());
+    (*page)->bytes[4] = 0xFF;
+    (*page)->bytes[5] = 0x7F;
+    ASSERT_TRUE(paged.buffer->Unpin(5, true).ok());
+  }
+  auto expect_released = [&](const std::string& what) {
+    for (storage::PageId p = 0; p < paged.rel->pages(); ++p) {
+      EXPECT_EQ(paged.buffer->PinCount(p), 0) << what << " page " << p;
+    }
+    EXPECT_TRUE(paged.buffer->CheckInvariants().ok()) << what;
+  };
+  ParallelPlan plan;
+  plan.probe.paged = paged.rel.get();
+  plan.group_by = {3};
+  plan.aggs = {{AggFunc::kCount, 0, "n"}};
+  ParallelPlan join = plan;
+  ParallelJoinStage stage;
+  stage.build.paged = paged.rel.get();
+  stage.spec.left_col = 0;
+  stage.spec.right_col = 0;
+  join.joins.push_back(stage);
+  WorkerPool pool(4);
+  for (const ParallelPlan* p : {&plan, &join}) {
+    for (size_t dop : {1u, 2u, 4u}) {
+      for (ParallelEngine engine :
+           {ParallelEngine::kBatch, ParallelEngine::kRow}) {
+        ParallelOptions opt;
+        opt.dop = dop;
+        opt.pool = &pool;
+        opt.engine = engine;
+        std::vector<Tuple> out;
+        auto stats = ExecuteParallel(*p, &out, opt);
+        const std::string what =
+            std::string(p == &plan ? "scan" : "join") +
+            " dop=" + std::to_string(dop) +
+            (engine == ParallelEngine::kBatch ? " batch" : " row");
+        EXPECT_TRUE(stats.status().IsDataLoss())
+            << what << ": " << stats.status().ToString();
+        expect_released(what);
+      }
+    }
+  }
 }
 
 TEST(BatchEngineTest, WideGroupByFallsBackToRowEngine) {

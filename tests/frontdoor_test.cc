@@ -3,6 +3,7 @@
 
 #include "patia/frontdoor.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -130,6 +131,53 @@ TEST(FrontDoorTest, BatchDispatchServesAndAmortises) {
   // than 12 ORB invocations.
   EXPECT_GE(w.door->stats().batches, 2u);
   EXPECT_LT(w.door->stats().batches, 12u);
+}
+
+TEST(FrontDoorTest, DynamicAtomBodyReachesTheClient) {
+  FrontDoorOptions fd;
+  fd.use_orb = false;
+  World w(fd);
+  Atom status;
+  status.id = 9;
+  status.name = "/obs/status";
+  status.type = "json";
+  status.variants = {{"/obs/status", 0}};
+  ASSERT_TRUE(w.server
+                  .RegisterDynamicAtom(status, {"node1"},
+                                       [](const std::string& resource,
+                                          SimTime) {
+                                         return "{\"for\":\"" + resource +
+                                                "\"}";
+                                       })
+                  .ok());
+  std::vector<std::string> bodies;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(w.door
+                    ->Submit(static_cast<uint64_t>(i), "edge1",
+                             "/obs/status?r=" + std::to_string(i),
+                             [&bodies](const net::RequestSink::Completion& c) {
+                               EXPECT_TRUE(c.served);
+                               bodies.push_back(c.body);
+                             })
+                    .ok());
+  }
+  // A static atom's completion carries no body.
+  std::string static_body = "unset";
+  ASSERT_TRUE(w.door
+                  ->Submit(7, "edge2", "Page1.html",
+                           [&static_body](
+                               const net::RequestSink::Completion& c) {
+                             static_body = c.body;
+                           })
+                  .ok());
+  w.door->Start();
+  w.loop.RunUntil(Seconds(2));
+  std::sort(bodies.begin(), bodies.end());
+  EXPECT_EQ(bodies, (std::vector<std::string>{
+                        "{\"for\":\"/obs/status?r=0\"}",
+                        "{\"for\":\"/obs/status?r=1\"}",
+                        "{\"for\":\"/obs/status?r=2\"}"}));
+  EXPECT_EQ(static_body, "");
 }
 
 TEST(FrontDoorTest, ShedRuleFiresRecoversAndRefires) {

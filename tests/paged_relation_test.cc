@@ -33,6 +33,83 @@ TEST(TupleCodecTest, RoundTripAllTypes) {
   EXPECT_FALSE(DecodeTuple(bytes, 4).ok());
 }
 
+TEST(TupleCodecTest, RejectsUnknownTypeTag) {
+  // Tag 9 names no value type: the record must not decode "ok" to a
+  // short tuple whose later at(c) reads out of range.
+  std::vector<uint8_t> bytes = {9, 9, 9, 9};
+  auto t = DecodeTuple(bytes, 4);
+  ASSERT_FALSE(t.ok());
+  EXPECT_TRUE(t.status().IsIoError()) << t.status().ToString();
+  // A bad tag after good values is rejected too.
+  std::vector<uint8_t> mixed = EncodeTuple(data::Tuple({int64_t{7}}));
+  mixed.push_back(200);
+  EXPECT_TRUE(DecodeTuple(mixed, 2).status().IsIoError());
+}
+
+TEST(PagedRelationTest, CorruptPageFailsReadAtAndScanWithoutLeakingPins) {
+  Rig rig(4);
+  data::Relation people = data::gen::People(200, 5);
+  auto paged = PagedRelation::Load(people, rig.buffer.get(), rig.disk.get());
+  ASSERT_TRUE(paged.ok());
+  ASSERT_GT((*paged)->pages(), 2u);
+  // Page ordinal 1 is page id 1 on a fresh disk. Its first record's
+  // length now chains past the page.
+  const PageId pid = 1;
+  {
+    auto page = rig.buffer->GetPage(pid);
+    ASSERT_TRUE(page.ok());
+    (*page)->bytes[4] = 0xFF;
+    (*page)->bytes[5] = 0x7F;
+    ASSERT_TRUE(rig.buffer->Unpin(pid, true).ok());
+  }
+  auto expect_released = [&] {
+    for (PageId p = 0; p < (*paged)->pages(); ++p) {
+      EXPECT_EQ(rig.buffer->PinCount(p), 0) << "page " << p;
+    }
+    EXPECT_TRUE(rig.buffer->CheckInvariants().ok());
+  };
+  auto read = (*paged)->ReadAt(1, 0);
+  EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+  expect_released();
+  auto fine = (*paged)->ReadAt(0, 0);
+  ASSERT_TRUE(fine.ok());
+  EXPECT_TRUE(fine->has_value());
+  Status scan = (*paged)->Scan([](const data::Tuple&) { return true; });
+  EXPECT_TRUE(scan.IsDataLoss()) << scan.ToString();
+  expect_released();
+
+  query::PagedSource source(paged->get());
+  std::vector<data::Tuple> out;
+  auto run = query::Execute(&source, &out, query::ExecOptions{});
+  EXPECT_TRUE(run.status().IsDataLoss()) << run.status().ToString();
+  expect_released();
+}
+
+TEST(PagedRelationTest, ScanMakesOneBufferGetPerPage) {
+  Rig rig(3);
+  data::Relation people = data::gen::People(500, 3);
+  auto paged = PagedRelation::Load(people, rig.buffer.get(), rig.disk.get());
+  ASSERT_TRUE(paged.ok());
+  uint64_t before = rig.buffer->stats().gets;
+  size_t rows = 0;
+  ASSERT_TRUE((*paged)->Scan([&](const data::Tuple&) {
+    ++rows;
+    return true;
+  }).ok());
+  EXPECT_EQ(rows, 500u);
+  EXPECT_EQ(rig.buffer->stats().gets - before, (*paged)->pages());
+
+  before = rig.buffer->stats().gets;
+  query::PagedSource source(paged->get());
+  std::vector<data::Tuple> out;
+  ASSERT_TRUE(query::Execute(&source, &out, query::ExecOptions{}).ok());
+  EXPECT_EQ(out.size(), 500u);
+  EXPECT_EQ(rig.buffer->stats().gets - before, (*paged)->pages());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(out[i] == people.rows()[i]) << i;
+  }
+}
+
 TEST(PagedRelationTest, LoadScanRoundTrip) {
   Rig rig;
   data::Relation people = data::gen::People(500, 3);
