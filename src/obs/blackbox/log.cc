@@ -187,18 +187,28 @@ Status TelemetryLog::OpenSegment() {
   return Status::OK();
 }
 
-void TelemetryLog::FsyncLocked() {
-  if (fd_ < 0) return;
-  ::fsync(fd_);
+Status TelemetryLog::FsyncLocked() {
+  if (fd_ < 0) return Status::OK();
+  if (::fsync(fd_) != 0) {
+    // fsyncgate semantics, as in Wal::FsyncLocked: a failed fsync may
+    // have dropped the dirty pages, and retrying cannot bring them back.
+    // The durable barrier must not advance, so the log dies here.
+    dead_.store(true, std::memory_order_relaxed);
+    return Status::IoError("fsync failed on telemetry segment '" +
+                           (live_segments_.empty() ? options_.dir
+                                                   : live_segments_.back()) +
+                           "'");
+  }
   ++fsyncs_;
   m_fsyncs_->Add(1);
   durable_ = flushed_;
   bytes_since_fsync_ = 0;
+  return Status::OK();
 }
 
 void TelemetryLog::SealSegment() {
   if (fd_ < 0) return;
-  if (options_.fsync == FsyncPolicy::kRotate) FsyncLocked();
+  if (options_.fsync == FsyncPolicy::kRotate) (void)FsyncLocked();
   ::close(fd_);
   fd_ = -1;
 }
@@ -210,7 +220,7 @@ bool TelemetryLog::WriteFrame(const TelemetryRecord& rec) {
   if (segment_records_ > 0 &&
       segment_size_ + scratch_.size() > options_.segment_bytes) {
     SealSegment();
-    if (!OpenSegment().ok()) {
+    if (dead_.load(std::memory_order_relaxed) || !OpenSegment().ok()) {
       dead_.store(true, std::memory_order_relaxed);
       return false;
     }
@@ -242,7 +252,7 @@ bool TelemetryLog::WriteFrame(const TelemetryRecord& rec) {
   m_bytes_->Add(scratch_.size());
   if (options_.fsync == FsyncPolicy::kInterval &&
       bytes_since_fsync_ >= options_.fsync_interval_bytes) {
-    FsyncLocked();
+    (void)FsyncLocked();
   }
   return true;
 }
@@ -302,8 +312,7 @@ Status TelemetryLog::Flush() {
   if (dead_.load(std::memory_order_relaxed)) {
     return Status::Unavailable("blackbox flusher is dead (crash fault)");
   }
-  FsyncLocked();
-  return Status::OK();
+  return FsyncLocked();
 }
 
 void TelemetryLog::Stop() {

@@ -153,7 +153,7 @@ class TelemetryLog : public TelemetrySink {
 
   Status OpenSegment();             // io_mu_ held
   void SealSegment();               // io_mu_ held
-  void FsyncLocked();               // io_mu_ held
+  Status FsyncLocked();             // io_mu_ held
   bool WriteFrame(const TelemetryRecord& rec);  // io_mu_ held
   size_t DrainLocked();             // io_mu_ held
   void FlusherMain();

@@ -23,6 +23,18 @@ Result<std::string> ReadWholeFile(const std::string& path) {
   return out;
 }
 
+/// The sequence number in "telem-<seq>.seg" (0 when the digits are
+/// malformed). Zero-padding to six digits makes names sort as strings
+/// only up to segment 999,999; the number is the append order.
+uint64_t SegmentSeq(const std::string& name) {
+  uint64_t seq = 0;
+  for (size_t i = 6; i + 4 < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return 0;
+    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
+  }
+  return seq;
+}
+
 }  // namespace
 
 Result<TelemetryReader> TelemetryReader::Open(const std::string& dir) {
@@ -41,8 +53,11 @@ Result<TelemetryReader> TelemetryReader::Open(const std::string& dir) {
   if (names.empty()) {
     return Status::NotFound("no telemetry segments under '" + dir + "'");
   }
-  // Zero-padded sequence numbers make lexicographic order append order.
-  std::sort(names.begin(), names.end());
+  std::sort(names.begin(), names.end(),
+            [](const std::string& a, const std::string& b) {
+              uint64_t sa = SegmentSeq(a), sb = SegmentSeq(b);
+              return sa != sb ? sa < sb : a < b;
+            });
 
   TelemetryReader reader;
   reader.dir_ = dir;

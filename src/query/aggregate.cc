@@ -96,8 +96,13 @@ Status GroupAccumulator::FoldRow(const Tuple& tuple, Tuple* movable) {
   if (idx == 0) {
     Group group;
     group.key.values.reserve(group_by_.size());
-    for (size_t g : group_by_) {
-      if (movable != nullptr) {
+    for (size_t k = 0; k < group_by_.size(); ++k) {
+      const size_t g = group_by_[k];
+      // A column listed twice in GROUP BY may only be stolen at its last
+      // use: an earlier move would leave the later key copies empty.
+      const bool last_use = std::find(group_by_.begin() + k + 1,
+                                      group_by_.end(), g) == group_by_.end();
+      if (movable != nullptr && last_use) {
         group.key.values.push_back(std::move(movable->values[g]));
       } else {
         group.key.values.push_back(tuple.at(g));

@@ -13,8 +13,8 @@
 //
 // The same plan profiles to the same tree shape at dop 1 and dop N: the
 // parallel executor assembles plan-shaped nodes from its phase counters,
-// the serial path maps BuildSerial's operator stats onto the same
-// shape, and tests/profile_test.cc holds the two equal node-for-node.
+// shaped like BuildSerial's operator tree, and tests/profile_test.cc
+// holds the trees equal node-for-node across dops.
 //
 // Renderers: ToText() (the EXPLAIN ANALYZE console tree), ToJson()
 // (machine-readable, also spliced into /obs/profile and the flight

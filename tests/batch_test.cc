@@ -1,8 +1,8 @@
 // Tests for the vectorized columnar batch layer (query/batch.h): cell
 // primitives vs their Value counterparts, kernel-vs-row-operator
 // equivalence across seeds and selectivities, selection-vector edge
-// cases, arena reuse, and whole-plan batch-vs-row engine A/B at
-// dop 1/2/4/8.
+// cases, arena reuse, and whole-plan batch engine vs serial row
+// operators at dop 1/2/4/8.
 
 #include <gtest/gtest.h>
 
@@ -107,35 +107,25 @@ std::vector<Tuple> SerialRows(const ParallelPlan& plan) {
   return out;
 }
 
-/// The tentpole's contract: batch results == row-engine results == the
-/// serial reference, order-normalised, at every dop.
-void ExpectEnginesEquivalent(const ParallelPlan& plan,
-                             bool expect_nonempty = true) {
+/// The engine's contract: batch results == the serial row-operator
+/// reference, order-normalised, at every dop.
+void ExpectMatchesSerial(const ParallelPlan& plan,
+                         bool expect_nonempty = true) {
   std::multiset<std::string> reference = Canon(SerialRows(plan));
   if (expect_nonempty) {
     EXPECT_FALSE(reference.empty());
   }
   WorkerPool pool(8);
   for (size_t dop : {1u, 2u, 4u, 8u}) {
-    for (ParallelEngine engine :
-         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-      ParallelOptions opt;
-      opt.dop = dop;
-      opt.pool = &pool;
-      opt.engine = engine;
-      std::vector<Tuple> out;
-      auto stats = ExecuteParallel(plan, &out, opt);
-      ASSERT_TRUE(stats.ok())
-          << "dop=" << dop << " engine="
-          << (engine == ParallelEngine::kBatch ? "batch" : "row") << ": "
-          << stats.status().ToString();
-      EXPECT_EQ(Canon(out), reference)
-          << "dop=" << dop << " engine="
-          << (engine == ParallelEngine::kBatch ? "batch" : "row");
-      if (dop > 1 && engine == ParallelEngine::kBatch) {
-        EXPECT_GT(stats->batches, 0u) << "batch engine processed no batches";
-      }
-    }
+    ParallelOptions opt;
+    opt.dop = dop;
+    opt.pool = &pool;
+    std::vector<Tuple> out;
+    auto stats = ExecuteParallel(plan, &out, opt);
+    ASSERT_TRUE(stats.ok())
+        << "dop=" << dop << ": " << stats.status().ToString();
+    EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
+    EXPECT_GT(stats->batches, 0u) << "dop=" << dop << " processed no batches";
   }
 }
 
@@ -253,7 +243,7 @@ TEST(BatchKernelTest, ErrorStringsMatchRowEngine) {
 }
 
 TEST(BatchKernelTest, AndShortCircuitSkipsErroringRightSide) {
-  // Row engine: And() only Tests the right child when the left side
+  // Expr::Test: And() only Tests the right child when the left side
   // passed, so 10/x on rows with x == 0 never runs. The batch kernel
   // must preserve exactly that.
   Relation rel("r", Schema({{"x", ValueType::kInt}}));
@@ -408,7 +398,7 @@ TEST(ArenaTest, ArenaVecGrowsAndSurvivesClear) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-plan engine A/B: batch == row == serial at dop 1/2/4/8
+// Whole-plan equivalence: batch == serial row operators at dop 1/2/4/8
 // ---------------------------------------------------------------------------
 
 TEST(BatchEngineTest, FilterProjectEquivalence) {
@@ -422,7 +412,7 @@ TEST(BatchEngineTest, FilterProjectEquivalence) {
     plan.project_schema = Schema({{"a", ValueType::kInt},
                                   {"ad", ValueType::kInt},
                                   {"c", ValueType::kString}});
-    ExpectEnginesEquivalent(plan);
+    ExpectMatchesSerial(plan);
   }
 }
 
@@ -450,7 +440,7 @@ TEST(BatchEngineTest, JoinWithDuplicateKeysEquivalence) {
     stage.build.mem = &build;
     stage.spec = JoinSpec{0, 3};  // dims.k = probe.d
     plan.joins.push_back(std::move(stage));
-    ExpectEnginesEquivalent(plan);
+    ExpectMatchesSerial(plan);
   }
 }
 
@@ -464,7 +454,7 @@ TEST(BatchEngineTest, JoinWithEmptyBuildSideProducesNothing) {
   stage.build.mem = &build;
   stage.spec = JoinSpec{0, 3};
   plan.joins.push_back(std::move(stage));
-  ExpectEnginesEquivalent(plan, /*expect_nonempty=*/false);
+  ExpectMatchesSerial(plan, /*expect_nonempty=*/false);
 }
 
 TEST(BatchEngineTest, TwoStageJoinWithPostFilterEquivalence) {
@@ -489,7 +479,7 @@ TEST(BatchEngineTest, TwoStageJoinWithPostFilterEquivalence) {
   s2.spec = JoinSpec{0, 1};
   plan.joins.push_back(std::move(s2));
   plan.post_filter = Gt(Col(4), Lit(Value{int64_t{20}}));  // probe.a > 20
-  ExpectEnginesEquivalent(plan);
+  ExpectMatchesSerial(plan);
 }
 
 TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {
@@ -505,7 +495,7 @@ TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {
                    {AggFunc::kMin, 0, "min_a"},
                    {AggFunc::kMax, 1, "max_b"},
                    {AggFunc::kAvg, 1, "avg_b"}};
-      ExpectEnginesEquivalent(plan);
+      ExpectMatchesSerial(plan);
     }
     // All-distinct: group by a near-unique expression source column so
     // almost every row is its own group.
@@ -518,7 +508,7 @@ TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {
                                     {"b", ValueType::kDouble}});
       plan.group_by = {0, 1};  // (a, d): many distinct pairs, null keys too
       plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 2, "s"}};
-      ExpectEnginesEquivalent(plan);
+      ExpectMatchesSerial(plan);
     }
   }
 }
@@ -531,7 +521,7 @@ TEST(BatchEngineTest, GroupByStringKeysEquivalence) {
   plan.probe.filter = Gt(Col(0), Lit(Value{int64_t{5}}));
   plan.group_by = {2};  // string column
   plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
-  ExpectEnginesEquivalent(plan);
+  ExpectMatchesSerial(plan);
 }
 
 TEST(BatchEngineTest, PagedProbeEquivalence) {
@@ -559,18 +549,14 @@ TEST(BatchEngineTest, PagedProbeEquivalence) {
   paged_plan.probe.paged = paged->get();
   WorkerPool pool(4);
   for (size_t dop : {2u, 4u}) {
-    for (ParallelEngine engine :
-         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-      ParallelOptions opt;
-      opt.dop = dop;
-      opt.pool = &pool;
-      opt.engine = engine;
-      opt.morsel_pages = 2;
-      std::vector<Tuple> out;
-      auto stats = ExecuteParallel(paged_plan, &out, opt);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
-    }
+    ParallelOptions opt;
+    opt.dop = dop;
+    opt.pool = &pool;
+    opt.morsel_pages = 2;
+    std::vector<Tuple> out;
+    auto stats = ExecuteParallel(paged_plan, &out, opt);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
   }
   EXPECT_TRUE(buffer->CheckInvariants().ok());
 }
@@ -600,31 +586,26 @@ struct PagedRig {
 };
 
 /// `paged` (the mem plan with its scans swapped for paged copies) must
-/// match the mem plan's serial reference at every dop on both engines,
-/// and so must the mem plan itself.
+/// match the mem plan's serial reference at every dop, and so must the
+/// mem plan itself.
 void ExpectPagedMatchesMem(const ParallelPlan& mem, const ParallelPlan& paged,
                            WorkerPool* pool, uint64_t seed) {
   std::multiset<std::string> reference = Canon(SerialRows(mem));
   EXPECT_FALSE(reference.empty());
   EXPECT_EQ(Canon(SerialRows(paged)), reference) << "seed=" << seed;
   for (size_t dop : {1u, 2u, 4u, 8u}) {
-    for (ParallelEngine engine :
-         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-      for (const ParallelPlan* plan : {&mem, &paged}) {
-        ParallelOptions opt;
-        opt.dop = dop;
-        opt.pool = pool;
-        opt.engine = engine;
-        opt.morsel_pages = 3;
-        std::vector<Tuple> out;
-        auto stats = ExecuteParallel(*plan, &out, opt);
-        const char* what = plan == &mem ? "mem" : "paged";
-        ASSERT_TRUE(stats.ok()) << what << " seed=" << seed << " dop=" << dop
-                                << ": " << stats.status().ToString();
-        EXPECT_EQ(Canon(out), reference)
-            << what << " seed=" << seed << " dop=" << dop << " engine="
-            << (engine == ParallelEngine::kBatch ? "batch" : "row");
-      }
+    for (const ParallelPlan* plan : {&mem, &paged}) {
+      ParallelOptions opt;
+      opt.dop = dop;
+      opt.pool = pool;
+      opt.morsel_pages = 3;
+      std::vector<Tuple> out;
+      auto stats = ExecuteParallel(*plan, &out, opt);
+      const char* what = plan == &mem ? "mem" : "paged";
+      ASSERT_TRUE(stats.ok()) << what << " seed=" << seed << " dop=" << dop
+                              << ": " << stats.status().ToString();
+      EXPECT_EQ(Canon(out), reference)
+          << what << " seed=" << seed << " dop=" << dop;
     }
   }
 }
@@ -699,20 +680,14 @@ TEST(PagedScanTest, FullScanMakesOneBufferGetPerPage) {
   plan.aggs = {{AggFunc::kCount, 0, "n"}};
   WorkerPool pool(4);
   for (size_t dop : {1u, 2u, 4u}) {
-    for (ParallelEngine engine :
-         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-      ParallelOptions opt;
-      opt.dop = dop;
-      opt.pool = &pool;
-      opt.engine = engine;
-      std::vector<Tuple> out;
-      const uint64_t before = paged.gets();
-      auto stats = ExecuteParallel(plan, &out, opt);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(paged.gets() - before, paged.rel->pages())
-          << "dop=" << dop << " engine="
-          << (engine == ParallelEngine::kBatch ? "batch" : "row");
-    }
+    ParallelOptions opt;
+    opt.dop = dop;
+    opt.pool = &pool;
+    std::vector<Tuple> out;
+    const uint64_t before = paged.gets();
+    auto stats = ExecuteParallel(plan, &out, opt);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(paged.gets() - before, paged.rel->pages()) << "dop=" << dop;
   }
 }
 
@@ -728,13 +703,17 @@ TEST(PagedScanTest, WarmPagedAggregationIsAllocationFree) {
   plan.probe.filter = Lt(Col(0), Lit(Value{int64_t{70}}));
   plan.group_by = {3};
   plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
+  // The same aggregation over the in-memory relation: mem scans borrow
+  // their columns and must be allocation-free too.
+  ParallelPlan mem_plan = plan;
+  mem_plan.probe = {nullptr, &rel, plan.probe.filter};
   WorkerPool pool(4);
-  auto run = [&](size_t dop) -> uint64_t {
+  auto run = [&](const ParallelPlan& p, size_t dop) -> uint64_t {
     ParallelOptions opt;
     opt.dop = dop;
     opt.pool = &pool;
     std::vector<Tuple> out;
-    auto stats = ExecuteParallel(plan, &out, opt);
+    auto stats = ExecuteParallel(p, &out, opt);
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_GT(stats.ok() ? stats->batches : 0, 0u);
     return stats.ok() ? stats->steady_allocs : ~uint64_t{0};
@@ -749,10 +728,16 @@ TEST(PagedScanTest, WarmPagedAggregationIsAllocationFree) {
     }
     return true;
   };
-  for (int i = 0; i < 100 && !all_warm(); ++i) run(4);
+  for (int i = 0; i < 100 && !all_warm(); ++i) {
+    run(plan, 4);
+    run(mem_plan, 4);
+  }
   ASSERT_TRUE(all_warm());
-  for (size_t dop : {2u, 4u}) {
-    EXPECT_EQ(run(dop), 0u) << "dop=" << dop;
+  for (const ParallelPlan* p : {&plan, &mem_plan}) {
+    for (size_t dop : {1u, 2u, 4u}) {
+      EXPECT_EQ(run(*p, dop), 0u)
+          << (p == &plan ? "paged" : "mem") << " dop=" << dop;
+    }
   }
   EXPECT_EQ(paged.buffer->stats().evictions, 0u);
 }
@@ -790,49 +775,44 @@ TEST(PagedScanTest, CorruptPageFailsEveryEngineAndReleasesPins) {
   WorkerPool pool(4);
   for (const ParallelPlan* p : {&plan, &join}) {
     for (size_t dop : {1u, 2u, 4u}) {
-      for (ParallelEngine engine :
-           {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-        ParallelOptions opt;
-        opt.dop = dop;
-        opt.pool = &pool;
-        opt.engine = engine;
-        std::vector<Tuple> out;
-        auto stats = ExecuteParallel(*p, &out, opt);
-        const std::string what =
-            std::string(p == &plan ? "scan" : "join") +
-            " dop=" + std::to_string(dop) +
-            (engine == ParallelEngine::kBatch ? " batch" : " row");
-        EXPECT_TRUE(stats.status().IsDataLoss())
-            << what << ": " << stats.status().ToString();
-        expect_released(what);
-      }
+      ParallelOptions opt;
+      opt.dop = dop;
+      opt.pool = &pool;
+      std::vector<Tuple> out;
+      auto stats = ExecuteParallel(*p, &out, opt);
+      const std::string what = std::string(p == &plan ? "scan" : "join") +
+                               " dop=" + std::to_string(dop);
+      EXPECT_TRUE(stats.status().IsDataLoss())
+          << what << ": " << stats.status().ToString();
+      expect_released(what);
     }
   }
 }
 
-TEST(BatchEngineTest, WideGroupByFallsBackToRowEngine) {
-  // 17 group-by columns exceed the batch agg table's key buffer; the
-  // dispatcher must route to the row engine and still be correct.
+TEST(BatchEngineTest, WideGroupByRunsOnBatchKernels) {
+  // 20 group-by columns: the aggregation table's key buffer is sized from
+  // group_by, so no GROUP BY width leaves the batch kernels.
   ScopedFaultSpec quiet("");
-  Relation rel("wide", Schema({{"a", ValueType::kInt},
-                               {"b", ValueType::kInt}}));
-  for (int64_t i = 0; i < 200; ++i) {
-    rel.InsertUnchecked(Tuple({i % 5, i}));
-  }
+  Relation rel = MakeMixed(2000, 17);
   ParallelPlan plan;
   plan.probe.mem = &rel;
-  plan.group_by.assign(17, 0);  // 17 copies of column a
-  plan.aggs = {{AggFunc::kSum, 1, "s"}};
+  constexpr size_t kKeyCols[] = {0, 2, 3};  // int, string, nullable int
+  for (size_t k = 0; k < 20; ++k) plan.group_by.push_back(kKeyCols[k % 3]);
+  plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
   std::multiset<std::string> reference = Canon(SerialRows(plan));
+  ASSERT_FALSE(reference.empty());
   WorkerPool pool(4);
-  ParallelOptions opt;
-  opt.dop = 4;
-  opt.pool = &pool;
-  std::vector<Tuple> out;
-  auto stats = ExecuteParallel(plan, &out, opt);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(Canon(out), reference);
-  EXPECT_EQ(stats->batches, 0u) << "wide GROUP BY should not use batches";
+  for (size_t dop : {1u, 2u, 4u}) {
+    ParallelOptions opt;
+    opt.dop = dop;
+    opt.pool = &pool;
+    std::vector<Tuple> out;
+    auto stats = ExecuteParallel(plan, &out, opt);
+    ASSERT_TRUE(stats.ok()) << "dop=" << dop << ": "
+                            << stats.status().ToString();
+    EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
+    EXPECT_GT(stats->batches, 0u) << "dop=" << dop;
+  }
 }
 
 TEST(BatchEngineTest, ErrorsPropagateFromBatchKernels) {

@@ -298,6 +298,39 @@ TEST_F(BlackboxTest, FsyncPolicyIntervalAdvancesBarrierByBytes) {
   EXPECT_LE(s.durable, s.flushed);
 }
 
+TEST_F(BlackboxTest, FailedFsyncKillsTheLogAndHoldsTheBarrier) {
+  // fsync on a character device fails with EINVAL, so a first segment
+  // that is a symlink to /dev/null takes every write and fails every
+  // fsync. A failed fsync may have dropped the written pages: the
+  // barrier must not advance and the log must refuse further frames.
+  std::filesystem::create_directories(dir_);
+  std::error_code ec;
+  std::filesystem::create_symlink("/dev/null", dir_ / "telem-000001.seg",
+                                  ec);
+  ASSERT_FALSE(ec) << ec.message();
+  auto log = TelemetryLog::Open(ManualOptions());
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (int i = 1; i <= 10; ++i) {
+    (*log)->Append(MakeRecord(RecordKind::kProfile, i));
+  }
+  (*log)->Poll();
+  EXPECT_EQ((*log)->stats().flushed, 10u);
+  Status flushed = (*log)->Flush();
+  EXPECT_FALSE(flushed.ok());
+  TelemetryLogStats s = (*log)->stats();
+  EXPECT_TRUE(s.dead);
+  EXPECT_EQ(s.fsyncs, 0u);
+  EXPECT_EQ(s.durable, 0u);
+
+  (*log)->Append(MakeRecord(RecordKind::kProfile, 11));
+  (*log)->Poll();
+  EXPECT_FALSE((*log)->Flush().ok());
+  s = (*log)->stats();
+  EXPECT_EQ(s.flushed, 10u);
+  EXPECT_EQ(s.durable, 0u);
+  (*log)->Stop();
+}
+
 TEST_F(BlackboxTest, ReaderTruncatesAtManuallyTornTail) {
   auto log = TelemetryLog::Open(ManualOptions());
   ASSERT_TRUE(log.ok());
@@ -323,6 +356,30 @@ TEST_F(BlackboxTest, ReaderTruncatesAtManuallyTornTail) {
   EXPECT_EQ(reader->report().truncated_segment, last);
   ASSERT_EQ(reader->records().size(), 20u);  // the prefix, exactly
   EXPECT_EQ(reader->LastAtUs(), 20);
+}
+
+TEST_F(BlackboxTest, ReaderOrdersSegmentsNumericallyPastSixDigits) {
+  // Hand-craft two adjacent segments around the six-digit rollover.
+  // Lexicographic order would replay "telem-1000000.seg" before
+  // "telem-999999.seg".
+  std::filesystem::create_directories(dir_);
+  auto write_segment = [&](const std::string& name, int64_t at_us) {
+    std::string bytes;
+    EncodeSegmentHeader(&bytes);
+    EncodeFrame(MakeRecord(RecordKind::kMetric, at_us), &bytes);
+    std::ofstream f(dir() + "/" + name, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  write_segment("telem-999999.seg", 1);
+  write_segment("telem-1000000.seg", 2);
+
+  auto reader = TelemetryReader::Open(dir());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_FALSE(reader->report().truncated);
+  EXPECT_EQ(reader->report().segments_scanned, 2u);
+  ASSERT_EQ(reader->records().size(), 2u);
+  EXPECT_EQ(reader->records()[0].at_us, 1);
+  EXPECT_EQ(reader->records()[1].at_us, 2);
 }
 
 TEST_F(BlackboxTest, CorruptionMidHistoryStopsTheWholeScan) {

@@ -1,6 +1,6 @@
 // Tests for the morsel-driven parallel plane: cursor, worker pool,
-// serial/parallel equivalence, mid-query dop governance and fault
-// containment.
+// equivalence with the serial row operators at every dop, mid-query dop
+// governance and fault containment.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "adapt/metrics.h"
 #include "common/rng.h"
 #include "fault/injector.h"
+#include "obs/metrics.h"
 #include "query/paged_source.h"
 #include "query/parallel.h"
 #include "storage/paged_relation.h"
@@ -455,6 +456,41 @@ TEST(ParallelExecTest, PublishesExecMetricsOnBus) {
   // the governor reads busy time live, not only after the job ends).
   EXPECT_GT(*util, 0.0);
   EXPECT_LE(*util, 100.0);
+}
+
+TEST(ParallelExecTest, WorkCyclesAreTheSameAtEveryDop) {
+  // query.pexec.work_cycles is bench_diff's deterministic gate: rows
+  // through the pipeline plus rows built, whatever the dop.
+  ScopedFaultSpec quiet("");
+  Relation orders = MakeOrders(6000, 80, 17);
+  Relation people = MakePeople(80, 18);
+  ParallelPlan plan;
+  plan.probe.mem = &orders;
+  plan.probe.filter = Gt(Col(1), Lit(int64_t{1}));
+  ParallelJoinStage stage;
+  stage.build.mem = &people;
+  stage.spec = JoinSpec{0, 0};
+  plan.joins.push_back(std::move(stage));
+  plan.group_by = {1};
+  plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 5, "sum_val"}};
+  obs::Counter& work =
+      obs::Registry::Default().GetCounter("query.pexec.work_cycles");
+  WorkerPool pool(4);
+  auto delta_at = [&](size_t dop) -> uint64_t {
+    ParallelOptions opt;
+    opt.dop = dop;
+    opt.pool = &pool;
+    std::vector<Tuple> out;
+    const uint64_t before = work.value();
+    auto stats = ExecuteParallel(plan, &out, opt);
+    EXPECT_TRUE(stats.ok()) << "dop=" << dop << ": "
+                            << stats.status().ToString();
+    return work.value() - before;
+  };
+  const uint64_t at4 = delta_at(4);
+  EXPECT_GT(at4, 0u);
+  EXPECT_EQ(delta_at(1), at4);
+  EXPECT_EQ(delta_at(2), at4);
 }
 
 // ---------------------------------------------------------------------------

@@ -294,6 +294,21 @@ TEST(AggregateTest, GroupByWithAllFunctions) {
   EXPECT_DOUBLE_EQ(std::get<double>(rows[0].at(5)), 3.0);
 }
 
+TEST(AggregateTest, RepeatedGroupColumnKeepsEveryKeyCopy) {
+  // GROUP BY g, g: the new group's key takes both copies of the string.
+  Relation rel("t", Schema({{"g", ValueType::kString},
+                            {"v", ValueType::kInt}}));
+  rel.InsertUnchecked(Tuple({std::string("a"), int64_t{1}}));
+  rel.InsertUnchecked(Tuple({std::string("a"), int64_t{3}}));
+  HashAggregate agg(std::make_unique<MemSource>(&rel), {0, 0},
+                    {{AggFunc::kSum, 1, "s"}});
+  auto rows = Drain(&agg);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(std::get<std::string>(rows[0].at(0)), "a");
+  EXPECT_EQ(std::get<std::string>(rows[0].at(1)), "a");
+  EXPECT_DOUBLE_EQ(std::get<double>(rows[0].at(2)), 4.0);
+}
+
 TEST(AggregateTest, GlobalAggregateNoGroups) {
   Relation rel = SmallTable("t", {5, 6, 7});
   HashAggregate agg(std::make_unique<MemSource>(&rel), {},
