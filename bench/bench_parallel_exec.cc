@@ -3,19 +3,35 @@
 // Two workloads over the same generated tables, run at dop 1, 2, 4 and
 // 8 on an 8-worker pool: a filtered scan + grouped aggregation, and the
 // headline join (orders ⋈ people, grouped aggregation on top). Every dop
-// runs the same batch pipeline, so each speedup row is against the
-// engine's own single-worker run. Each run's result set is
-// order-normalized and compared against the serial row operators
-// (BuildSerial + Execute over the identical plan) — a wrong answer at any
-// dop fails the bench before any timing is read. The serial run's time
-// is reported too (informational, like every wall-clock figure here).
+// runs the same batch pipeline, so each speedup is against the engine's
+// own single-worker run.
 //
-// Acceptance bar (ISSUE 5): >= 2.5x at dop=4 on the join workload,
-// asserted only when the host actually has >= 4 hardware threads (the
-// 1-vCPU dev container reports its scaling numbers without gating).
+// Timing: one discarded warm-up run per plan and dop (it pays the lazy
+// Relation::Columnar() build and sizes the worker arenas), then kRounds
+// interleaved rounds, each running every dop once in an order that
+// alternates between rounds. A dop's time is its median over the rounds;
+// a speedup is the median of the per-round ratios dop-1 / dop-N, printed
+// with its median absolute deviation (MAD), so one noisy stretch of a
+// shared host moves one round, not the verdict. Each dop also reports
+// the CPUs the host gave it (process CPU time over wall time): a host
+// that grants fewer CPUs than the dop for a whole run shows there.
+//
+// Correctness: after timing, the metrics registry is zeroed and each plan
+// runs once through the serial row operators (BuildSerial + Execute) and
+// once at every dop; each result set is order-normalized and compared
+// with the serial one — a wrong answer at any dop fails the bench. That
+// checked pass alone feeds the counters the committed baseline gates
+// (query.pexec.work_cycles and friends). The serial run's time is
+// reported too (informational, like every wall-clock figure here).
+//
+// Acceptance bar (ISSUE 5): median dop-4 join speedup >= 2.5x, asserted
+// only when the host actually has >= 4 hardware threads (the 1-vCPU dev
+// container reports its scaling numbers without gating).
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <ctime>
 #include <set>
 #include <string>
 #include <thread>
@@ -71,27 +87,111 @@ std::multiset<std::string> Canon(const std::vector<query::Tuple>& rows) {
   return out;
 }
 
+constexpr int kRounds = 7;
+
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// Median absolute deviation from the median.
+double Mad(const std::vector<double>& v) {
+  const double m = Median(v);
+  std::vector<double> dev;
+  for (double x : v) dev.push_back(std::abs(x - m));
+  return Median(dev);
+}
+
 struct DopPoint {
   size_t dop = 0;
-  double millis = 0;
-  double speedup = 1.0;
-  query::ParallelStats stats;
+  double millis = 0;       // median over the rounds
+  double speedup = 1.0;    // median per-round dop-1 / dop-N ratio
+  double speedup_mad = 0;
+  /// Process CPU time over wall time across the rounds: the CPUs the host
+  /// actually gave this dop (a starved host reads ~1 at every dop).
+  double cpus = 0;
+  query::ParallelStats stats;  // from the checked run
 };
 
-/// Runs `plan` through the serial row operators (timed into
-/// *serial_ms), then at each dop, checks every result set against the
-/// serial one, and returns the timing curve. Empty on any error/mismatch.
-std::vector<DopPoint> RunCurve(const query::ParallelPlan& plan,
-                               query::WorkerPool* pool,
-                               const std::vector<size_t>& dops,
-                               double* serial_ms) {
+double ProcessCpuMs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+/// Runs `plan` once at `dop`; returns its wall time in ms (negative on
+/// error, which is printed).
+double TimeOnce(const query::ParallelPlan& plan, query::WorkerPool* pool,
+                size_t dop, std::vector<query::Tuple>* out,
+                query::ParallelStats* stats) {
+  query::ParallelOptions opt;
+  opt.dop = dop;
+  opt.pool = pool;
+  auto t0 = std::chrono::steady_clock::now();
+  auto result = query::ExecuteParallel(plan, out, opt);
+  auto t1 = std::chrono::steady_clock::now();
+  if (!result.ok()) {
+    std::printf("  dop=%zu failed: %s\n", dop,
+                result.status().ToString().c_str());
+    return -1;
+  }
+  if (stats != nullptr) *stats = *result;
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+/// The timing curve: a discarded warm-up run per dop, then kRounds
+/// interleaved rounds. Empty on any error.
+std::vector<DopPoint> TimeCurve(const query::ParallelPlan& plan,
+                                query::WorkerPool* pool,
+                                const std::vector<size_t>& dops) {
+  for (size_t dop : dops) {
+    if (TimeOnce(plan, pool, dop, nullptr, nullptr) < 0) return {};
+  }
+  std::vector<std::vector<double>> ms(dops.size());
+  std::vector<double> cpu_ms(dops.size(), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < dops.size(); ++k) {
+      const size_t i = round % 2 == 0 ? k : dops.size() - 1 - k;
+      const double cpu0 = ProcessCpuMs();
+      const double t = TimeOnce(plan, pool, dops[i], nullptr, nullptr);
+      if (t < 0) return {};
+      cpu_ms[i] += ProcessCpuMs() - cpu0;
+      ms[i].push_back(t);
+    }
+  }
+  std::vector<DopPoint> curve(dops.size());
+  for (size_t i = 0; i < dops.size(); ++i) {
+    std::vector<double> ratio;
+    for (int round = 0; round < kRounds; ++round) {
+      ratio.push_back(ms[0][round] / std::max(ms[i][round], 1e-9));
+    }
+    curve[i].dop = dops[i];
+    curve[i].millis = Median(ms[i]);
+    curve[i].speedup = Median(ratio);
+    curve[i].speedup_mad = Mad(ratio);
+    double wall_ms = 0;
+    for (double t : ms[i]) wall_ms += t;
+    curve[i].cpus = cpu_ms[i] / std::max(wall_ms, 1e-9);
+  }
+  return curve;
+}
+
+/// Runs `plan` through the serial row operators (timed into *serial_ms),
+/// then once at each dop of `curve`, checking every result set against
+/// the serial one and keeping each run's stats. False on any error or
+/// mismatch.
+bool CheckCurve(const query::ParallelPlan& plan, query::WorkerPool* pool,
+                std::vector<DopPoint>* curve, double* serial_ms) {
   std::multiset<std::string> reference;
   {
     auto root = query::BuildSerial(plan);
     if (!root.ok()) {
       std::printf("  serial plan failed: %s\n",
                   root.status().ToString().c_str());
-      return {};
+      return false;
     }
     std::vector<query::Tuple> out;
     auto t0 = std::chrono::steady_clock::now();
@@ -100,51 +200,36 @@ std::vector<DopPoint> RunCurve(const query::ParallelPlan& plan,
     if (!stats.ok()) {
       std::printf("  serial run failed: %s\n",
                   stats.status().ToString().c_str());
-      return {};
+      return false;
     }
     *serial_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     reference = Canon(out);
   }
-  std::vector<DopPoint> curve;
-  for (size_t dop : dops) {
-    query::ParallelOptions opt;
-    opt.dop = dop;
-    opt.pool = pool;
+  for (DopPoint& p : *curve) {
     std::vector<query::Tuple> out;
-    auto t0 = std::chrono::steady_clock::now();
-    auto stats = query::ExecuteParallel(plan, &out, opt);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!stats.ok()) {
-      std::printf("  dop=%zu failed: %s\n", dop,
-                  stats.status().ToString().c_str());
-      return {};
-    }
+    if (TimeOnce(plan, pool, p.dop, &out, &p.stats) < 0) return false;
     if (Canon(out) != reference) {
-      std::printf("  dop=%zu result set diverges from serial!\n", dop);
-      return {};
+      std::printf("  dop=%zu result set diverges from serial!\n", p.dop);
+      return false;
     }
-    DopPoint p;
-    p.dop = dop;
-    p.millis =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    p.stats = *stats;
-    curve.push_back(p);
   }
-  for (DopPoint& p : curve) {
-    p.speedup = curve.front().millis / std::max(p.millis, 1e-9);
-  }
-  return curve;
+  return true;
 }
 
 void PrintCurve(const char* title, const std::vector<DopPoint>& curve,
                 double serial_ms) {
   std::printf("\n%s — serial row operators %.1f ms\n", title, serial_ms);
-  bench::Table table({8, 12, 10, 12, 10});
-  table.Row({"dop", "time ms", "speedup", "morsels", "util %"});
+  std::printf("  medians of %d interleaved rounds after a warm-up run\n",
+              kRounds);
+  bench::Table table({8, 12, 10, 10, 8, 12, 10});
+  table.Row({"dop", "time ms", "speedup", "MAD", "CPUs", "morsels",
+             "util %"});
   table.Rule();
   for (const DopPoint& p : curve) {
     table.Row({bench::FmtU(p.dop), bench::Fmt("%.1f", p.millis),
-               bench::Fmt("%.2fx", p.speedup), bench::FmtU(p.stats.morsels),
+               bench::Fmt("%.2fx", p.speedup),
+               bench::Fmt("%.2f", p.speedup_mad),
+               bench::Fmt("%.1f", p.cpus), bench::FmtU(p.stats.morsels),
                bench::Fmt("%.0f", p.stats.worker_util)});
   }
   table.Rule();
@@ -163,7 +248,6 @@ int main(int argc, char** argv) {
   Relation orders = MakeOrders();
   Relation people = MakePeople();
   const std::vector<size_t> dops = {1, 2, 4, 8};
-  query::WorkerPool pool(8);
 
   // Workload 1: filtered scan + grouped aggregation.
   query::ParallelPlan scan_plan;
@@ -172,11 +256,6 @@ int main(int argc, char** argv) {
   scan_plan.group_by = {0};
   scan_plan.aggs = {{query::AggFunc::kCount, 0, "n"},
                     {query::AggFunc::kSum, 2, "sum_val"}};
-  double scan_serial_ms = 0;
-  std::vector<DopPoint> scan_curve =
-      RunCurve(scan_plan, &pool, dops, &scan_serial_ms);
-  if (scan_curve.empty()) return 1;
-  PrintCurve("scan + aggregate (400k rows)", scan_curve, scan_serial_ms);
 
   // Workload 2 (the headline): join + grouped aggregation.
   query::ParallelPlan join_plan;
@@ -190,15 +269,32 @@ int main(int argc, char** argv) {
   join_plan.aggs = {{query::AggFunc::kCount, 0, "n"},
                     {query::AggFunc::kSum, 5, "sum_val"},
                     {query::AggFunc::kMax, 4, "max_qty"}};
-  double join_serial_ms = 0;
-  std::vector<DopPoint> join_curve =
-      RunCurve(join_plan, &pool, dops, &join_serial_ms);
-  if (join_curve.empty()) return 1;
+
+  std::vector<DopPoint> scan_curve, join_curve;
+  {
+    query::WorkerPool pool(8);
+    scan_curve = TimeCurve(scan_plan, &pool, dops);
+    join_curve = TimeCurve(join_plan, &pool, dops);
+    if (scan_curve.empty() || join_curve.empty()) return 1;
+  }
+
+  // The checked pass starts a fresh registry epoch (and a fresh pool), so
+  // the sidecar's counters are the checked runs' alone.
+  obs::Registry::Default().ZeroAll();
+  query::WorkerPool pool(8);
+  double scan_serial_ms = 0, join_serial_ms = 0;
+  if (!CheckCurve(scan_plan, &pool, &scan_curve, &scan_serial_ms)) return 1;
+  PrintCurve("scan + aggregate (400k rows)", scan_curve, scan_serial_ms);
+  if (!CheckCurve(join_plan, &pool, &join_curve, &join_serial_ms)) return 1;
   PrintCurve("join + aggregate (400k ⋈ 2k)", join_curve, join_serial_ms);
 
-  double speedup4 = 1.0;
+  double speedup4 = 1.0, mad4 = 0, cpus4 = 0;
   for (const DopPoint& p : join_curve) {
-    if (p.dop == 4) speedup4 = p.speedup;
+    if (p.dop == 4) {
+      speedup4 = p.speedup;
+      mad4 = p.speedup_mad;
+      cpus4 = p.cpus;
+    }
   }
 
   obs::Registry& reg = obs::Registry::Default();
@@ -214,12 +310,14 @@ int main(int argc, char** argv) {
     reg.GetGauge("bench.pexec.join_speedup_dop" + std::to_string(p.dop))
         .Set(p.speedup);
   }
+  reg.GetGauge("bench.pexec.join_speedup_dop4_mad").Set(mad4);
 
   unsigned hw = std::thread::hardware_concurrency();
   reg.GetGauge("bench.pexec.hw_threads").Set(static_cast<double>(hw));
   bool gate = hw >= 4;
   if (gate) {
     bench::Note(bench::Fmt("dop=4 join speedup %.2fx", speedup4) +
+                bench::Fmt(" median (MAD %.2f)", mad4) +
                 " (bar: >= 2.5x on this >=4-thread host)");
   } else {
     bench::Note(bench::Fmt("host has %.0f hardware threads", hw) +
@@ -229,7 +327,10 @@ int main(int argc, char** argv) {
   bench::MetricsSidecar("bench_parallel_exec");
 
   if (gate && speedup4 < 2.5) {
-    std::printf("FAIL: dop=4 join speedup %.2fx < 2.5x\n", speedup4);
+    std::printf(
+        "FAIL: median dop=4 join speedup %.2fx < 2.5x (the dop-4 rounds "
+        "ran on %.1f CPUs on average)\n",
+        speedup4, cpus4);
     return 1;
   }
   return 0;

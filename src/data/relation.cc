@@ -93,10 +93,12 @@ const ColumnarView& Relation::Columnar() const {
       case ValueType::kNull:
         break;
     }
+    unsigned seen = 0;  // one bit per ValueType present
     for (size_t r = 0; r < rows_.size(); ++r) {
       const Value& v = rows_[r].at(c);
       ValueType t = TypeOf(v);
       col.tags[r] = static_cast<uint8_t>(t);
+      seen |= TypeBit(t);
       switch (t) {
         case ValueType::kNull:
           break;
@@ -116,6 +118,7 @@ const ColumnarView& Relation::Columnar() const {
           break;
       }
     }
+    col.uniform = UniformType(seen);
   }
   columnar_ = std::move(view);
   return *columnar_;

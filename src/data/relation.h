@@ -52,6 +52,19 @@ struct RelationStats {
   void PerturbCardinality(double factor);
 };
 
+/// Bit of `t` in a column's type mask (one bit per ValueType present).
+inline unsigned TypeBit(ValueType t) { return 1u << static_cast<unsigned>(t); }
+
+/// The uniform tag a type mask describes: the one non-null type present,
+/// or kNull when the mask is empty, has several types, or includes null.
+inline ValueType UniformType(unsigned mask) {
+  for (ValueType t :
+       {ValueType::kInt, ValueType::kDouble, ValueType::kString}) {
+    if (mask == TypeBit(t)) return t;
+  }
+  return ValueType::kNull;
+}
+
 /// One column of a relation's cached columnar image: per-row type tags
 /// plus contiguous typed arrays. Only the arrays the column actually uses
 /// are populated (an all-int column leaves `doubles`/`strings` empty).
@@ -59,6 +72,10 @@ struct RelationStats {
 /// valid until the relation is mutated.
 struct ColumnVector {
   ValueType decl = ValueType::kNull;       // declared type (schema)
+  /// The one tag every row carries, so its typed array is the whole
+  /// column; kNull when rows differ in type, any row is null, or the
+  /// relation is empty. Typed batch kernels run only on uniform columns.
+  ValueType uniform = ValueType::kNull;
   std::vector<uint8_t> tags;               // ValueType per row
   std::vector<int64_t> ints;
   std::vector<double> doubles;

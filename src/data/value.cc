@@ -97,11 +97,6 @@ uint64_t Fnv(const void* data, size_t len, uint64_t seed) {
 
 uint64_t HashNull() { return kFnvBasis; }
 
-uint64_t HashNumeric(double d) {
-  if (d == 0.0) d = 0.0;  // normalise -0.0
-  return Fnv(&d, sizeof(d), kFnvBasis);
-}
-
 uint64_t HashValue(std::string_view s) {
   return Fnv(s.data(), s.size(), kFnvBasis ^ 0x9E3779B97F4A7C15ULL);
 }

@@ -6,6 +6,7 @@
 #ifndef DBM_DATA_VALUE_H_
 #define DBM_DATA_VALUE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,7 +35,8 @@ std::string ValueToString(const Value& v);
 /// order for sorting and hashing).
 int CompareValues(const Value& a, const Value& b);
 
-/// FNV-1a hash of a value (for hash joins and grouping).
+/// Hash of a value (for hash joins and grouping): numbers through
+/// HashNumeric, strings FNV-1a over their bytes, null the FNV basis.
 uint64_t HashValue(const Value& v);
 
 /// Hash of a string payload, identical to HashValue over a string Value —
@@ -47,7 +49,19 @@ uint64_t HashValue(std::string_view s);
 /// numerics hash through their double image (3 and 3.0 hash alike, -0.0
 /// normalised), nulls hash to the FNV basis.
 uint64_t HashNull();
-uint64_t HashNumeric(double d);
+
+/// Mixes the double image's 64 bits as one word (the murmur3
+/// finaliser); inline, so column kernels pay no call per key.
+inline uint64_t HashNumeric(double d) {
+  if (d == 0.0) d = 0.0;  // normalise -0.0
+  uint64_t h = std::bit_cast<uint64_t>(d) ^ 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
 
 /// Order-sensitive combiner for multi-column keys (group-by hashing).
 uint64_t HashCombine(uint64_t seed, uint64_t h);

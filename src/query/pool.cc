@@ -51,6 +51,11 @@ WorkerPool::WorkerPool(size_t workers) {
     slots_.push_back(std::make_unique<WorkerSlot>());
     scratch_arenas_.push_back(std::make_unique<Arena>());
     state_arenas_.push_back(std::make_unique<Arena>());
+    // A worker's first chunks come now, not inside its first morsel
+    // body, so a worker that first draws work on a warm query still
+    // allocates nothing there.
+    scratch_arenas_.back()->Prime();
+    state_arenas_.back()->Prime();
   }
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {

@@ -127,8 +127,9 @@ class WorkerPool {
 
   /// Per-worker slab arenas for the batch engine (see common/arena.h).
   /// Scratch is reset at every morsel, state at every query; both retain
-  /// their chunks, so after the first query warms them up the morsel hot
-  /// path performs zero operator-new calls. Worker `wid`'s arenas may
+  /// their chunks, and both get their first chunk when the pool is built,
+  /// so once a query has sized them the morsel hot path performs zero
+  /// operator-new calls on every worker. Worker `wid`'s arenas may
   /// only be touched by that worker while a job is in flight (the
   /// coordinator resets state arenas between jobs, when no worker runs).
   Arena& ScratchArena(size_t wid) { return *scratch_arenas_[wid]; }
